@@ -1330,7 +1330,26 @@ END
         assert_eq!(r.data["clean"].as_bool(), Some(true));
         assert_eq!(r.data["count"].as_u64(), Some(5));
         assert_eq!(r.data["seed"].as_str(), Some("0xc0ffee"));
-        assert_eq!(r.data["schemes"].as_array().unwrap().len(), 6);
+        // One row per registry scheme, then the symbolic-instantiation
+        // oracle's row.
+        let rows: Vec<&str> = r.data["schemes"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|row| row["scheme"].as_str().unwrap())
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                "recurrence-chains",
+                "pdm",
+                "pl",
+                "unique",
+                "doacross",
+                "inner-parallel",
+                rcp_fuzz::PLAN_ORACLE,
+            ]
+        );
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! into the speedup curves of Figure 3.
 
 use rcp_core::ConcretePartition;
-use rcp_depend::{DependenceAnalysis, Granularity};
+use rcp_depend::{DependenceAnalysis, Granularity, LoopView};
 use rcp_intlin::IVec;
-use rcp_loopir::Program;
+use rcp_loopir::{InstanceDecoder, LoopGroup, Program};
 use rcp_presburger::DenseSet;
 
 /// One unit of scheduled work: a list of statement instances executed
@@ -98,20 +98,19 @@ impl Schedule {
     }
 
     /// The fully sequential schedule of a program at concrete parameter
-    /// values: every statement instance in lexicographic (program) order as
-    /// one chain.
-    // Panic-hygiene allow: points enumerated from the program's own unified
-    // space always decode back to instances of that program.
-    #[allow(clippy::expect_used)]
+    /// values: every statement instance in program order as one chain.
+    ///
+    /// Built from the direct walk of the loop tree behind
+    /// [`Program::enumerate_instances`], not from the Presburger iteration
+    /// space the partitioners work over; the reference a partition is
+    /// verified against therefore cannot share a mistake in `Φ` with it.
+    /// Each instance becomes its work item as it is visited, so no
+    /// intermediate instance list is held.
     pub fn sequential(program: &Program, params: &[i64]) -> Schedule {
-        let phi = program.unified_iteration_space().bind_params(params);
         let mut items = Vec::new();
-        for point in phi.enumerate() {
-            let (stmt, indices) = program
-                .decode_instance(&point)
-                .expect("phi point decodes to an instance");
-            items.push(WorkItem::single(stmt, indices));
-        }
+        program.for_each_instance(params, |stmt, indices| {
+            items.push(WorkItem::single(stmt, indices.to_vec()))
+        });
         Schedule {
             name: format!("{}-sequential", program.name),
             phases: vec![Phase::ChainSet(vec![items])],
@@ -145,7 +144,8 @@ impl Schedule {
         params: &[i64],
         name: &str,
     ) -> Schedule {
-        let to_item = |point: &IVec| point_to_item(analysis, params, point);
+        let expander = PointExpander::new(analysis, params);
+        let to_item = |point: &IVec| expander.expand(point);
         let mut phases = Vec::new();
         match partition {
             ConcretePartition::RecurrenceChains { p1, chains, p3, .. } => {
@@ -200,13 +200,11 @@ impl Schedule {
     /// Builds a one-phase DOALL schedule from a dense set of points (used by
     /// baseline schemes; direct views only).
     pub fn doall_phase(analysis: &DependenceAnalysis, points: &DenseSet, name: &str) -> Schedule {
+        let expander = PointExpander::new(analysis, &[]);
         Schedule {
             name: name.to_string(),
             phases: vec![Phase::Doall(
-                points
-                    .iter()
-                    .map(|p| point_to_item(analysis, &[], p))
-                    .collect(),
+                points.iter().map(|p| expander.expand(p)).collect(),
             )],
         }
     }
@@ -243,8 +241,9 @@ impl Schedule {
     }
 
     /// Checks that this schedule executes exactly the same statement
-    /// instances as the sequential schedule of the program (each exactly
-    /// once).  Returns violated invariants.
+    /// instances as the program's loop-tree walk
+    /// ([`Program::enumerate_instances`]), each exactly once.  Returns
+    /// violated invariants.
     pub fn validate_coverage(&self, program: &Program, params: &[i64]) -> Vec<String> {
         use std::collections::BTreeMap;
         let mut expected: BTreeMap<(usize, IVec), usize> = BTreeMap::new();
@@ -254,12 +253,9 @@ impl Schedule {
             }
         }
         let mut problems = Vec::new();
-        let seq = Schedule::sequential(program, params);
         let mut reference: BTreeMap<(usize, IVec), usize> = BTreeMap::new();
-        for item in seq.all_items() {
-            for inst in &item.instances {
-                *reference.entry(inst.clone()).or_insert(0) += 1;
-            }
+        for inst in program.enumerate_instances(params) {
+            *reference.entry(inst).or_insert(0) += 1;
         }
         for (inst, &count) in &expected {
             match reference.get(inst) {
@@ -292,50 +288,87 @@ impl Schedule {
     }
 }
 
-/// Expands one partition point into a work item according to the analysis
+/// Expands partition points into work items according to the analysis
 /// granularity and view: a loop-level point becomes all statements of the
 /// nest at those indices, an aggregated point the whole body of one prefix
-/// iteration, a statement-level point a single instance.  Public because
-/// structural schedule checks (the differential fuzzer's dependence-respect
-/// oracle) need the same point-to-instances expansion the schedules were
-/// built with.
-// Panic-hygiene allow: partition points come from the same analysis the
-// expansion consults, so the group/instance lookups are invariants.
-#[allow(clippy::expect_used)]
-pub fn point_to_item(analysis: &DependenceAnalysis, params: &[i64], point: &IVec) -> WorkItem {
-    match (analysis.granularity, &analysis.view) {
-        (Granularity::LoopLevel, rcp_depend::LoopView::Groups(groups)) => {
-            // An aggregated point is (group, prefix iteration, padding):
-            // it executes the whole body of that prefix iteration in
-            // program order.
-            let group = groups
-                .iter()
-                .find(|g| g.group as i64 == point[0])
-                .expect("aggregated point names a loop group");
-            let prefix: IVec = point[1..1 + group.depth()].to_vec();
-            WorkItem {
-                instances: analysis
-                    .program
-                    .enumerate_group_instances(group, &prefix, params),
+/// iteration, a statement-level point a single instance.
+///
+/// Built once per schedule: it captures the nest's statement ids, or the
+/// [`InstanceDecoder`] of the unified space, so expanding a point does not
+/// walk the program again.  Public because structural schedule checks (the
+/// differential fuzzer's dependence-respect oracle) need the same
+/// point-to-instances expansion the schedules were built with.
+#[derive(Clone, Debug)]
+pub struct PointExpander<'a>(Shape<'a>);
+
+#[derive(Clone, Debug)]
+enum Shape<'a> {
+    /// Aggregated loop-level view of an imperfect nest, expanded at the
+    /// binding's parameter values.
+    Groups {
+        program: &'a Program,
+        groups: &'a [LoopGroup],
+        params: &'a [i64],
+    },
+    /// Loop-level view of a perfect nest: the ids of its statements.
+    Nest(Vec<usize>),
+    /// Statement-level view over the unified space.
+    Statements(InstanceDecoder),
+}
+
+impl<'a> PointExpander<'a> {
+    /// The expander of `analysis`'s points at the parameter values
+    /// `params` (needed only by aggregated views, whose inner loop bounds
+    /// may mention parameters).
+    pub fn new(analysis: &'a DependenceAnalysis, params: &'a [i64]) -> Self {
+        let program = &analysis.program;
+        PointExpander(match (analysis.granularity, &analysis.view) {
+            (Granularity::LoopLevel, LoopView::Groups(groups)) => Shape::Groups {
+                program,
+                groups,
+                params,
+            },
+            (Granularity::LoopLevel, LoopView::Direct) => {
+                Shape::Nest(program.statements().iter().map(|info| info.id).collect())
             }
-        }
-        (Granularity::LoopLevel, _) => {
+            (Granularity::StatementLevel, _) => Shape::Statements(InstanceDecoder::new(program)),
+        })
+    }
+
+    /// Expands one partition point into the work item it executes.
+    // Panic-hygiene allow: partition points come from the same analysis the
+    // expander was built from, so the group/instance lookups are invariants.
+    #[allow(clippy::expect_used)]
+    pub fn expand(&self, point: &IVec) -> WorkItem {
+        match &self.0 {
+            Shape::Groups {
+                program,
+                groups,
+                params,
+            } => {
+                // An aggregated point is (group, prefix iteration, padding):
+                // it executes the whole body of that prefix iteration in
+                // program order.
+                let group = groups
+                    .iter()
+                    .find(|g| g.group as i64 == point[0])
+                    .expect("aggregated point names a loop group");
+                let prefix = &point[1..1 + group.depth()];
+                WorkItem {
+                    instances: program.enumerate_group_instances(group, prefix, params),
+                }
+            }
             // A loop-level point is an iteration of the perfect nest: all
             // statements of the nest execute at these indices, in order.
-            let instances = analysis
-                .program
-                .statements()
-                .iter()
-                .map(|info| (info.id, point.clone()))
-                .collect();
-            WorkItem { instances }
-        }
-        (Granularity::StatementLevel, _) => {
-            let (stmt, indices) = analysis
-                .program
-                .decode_instance(point)
-                .expect("partition point decodes to a statement instance");
-            WorkItem::single(stmt, indices)
+            Shape::Nest(ids) => WorkItem {
+                instances: ids.iter().map(|&id| (id, point.clone())).collect(),
+            },
+            Shape::Statements(decoder) => {
+                let (stmt, indices) = decoder
+                    .decode(point)
+                    .expect("partition point decodes to a statement instance");
+                WorkItem::single(stmt, indices)
+            }
         }
     }
 }

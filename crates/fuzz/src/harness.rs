@@ -27,9 +27,8 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use rcp_codegen::{point_to_item, Phase, Schedule};
+use rcp_codegen::{Phase, PointExpander, Schedule};
 use rcp_core::{concrete_partition, symbolic_plan};
-use rcp_depend::DependenceAnalysis;
 use rcp_intlin::IVec;
 use rcp_loopir::Program;
 use rcp_presburger::DenseRelation;
@@ -104,11 +103,11 @@ impl CaseResult {
 /// required order: for every `Rd` edge, each source instance must execute
 /// in an earlier phase than each sink instance, or strictly earlier within
 /// the same sequential unit (chain, or intra-item program order) of the
-/// same phase.  Instances missing from the schedule also count.
+/// same phase.  Instances missing from the schedule also count.  `expander`
+/// maps `Rd`'s points to instances exactly as the schedule was built.
 pub fn ordering_violations(
     schedule: &Schedule,
-    analysis: &DependenceAnalysis,
-    params: &[i64],
+    expander: &PointExpander,
     rd: &DenseRelation,
 ) -> usize {
     // (phase, unit, step) per instance: unit = DOALL item or chain index,
@@ -143,8 +142,8 @@ pub fn ordering_violations(
             // execution inside a work item.
             continue;
         }
-        let src_item = point_to_item(analysis, params, src);
-        let dst_item = point_to_item(analysis, params, dst);
+        let src_item = expander.expand(src);
+        let dst_item = expander.expand(dst);
         for si in &src_item.instances {
             for di in &dst_item.instances {
                 if si == di {
@@ -179,6 +178,7 @@ pub fn run_case(program: &Program, params: &[(String, i64)]) -> Result<CaseResul
     let kernel = RefKernel::new(runtime_program);
     let reference_schedule = Schedule::sequential(runtime_program, runtime_values);
     let reference = execute_sequential(&reference_schedule, &kernel);
+    let expander = PointExpander::new(stage.analysis(), runtime_values);
 
     let mut verdicts = Vec::new();
     for scheme in scheme_names() {
@@ -198,8 +198,7 @@ pub fn run_case(program: &Program, params: &[(String, i64)]) -> Result<CaseResul
                         ),
                     })
                 } else {
-                    let violations =
-                        ordering_violations(schedule, stage.analysis(), runtime_values, stage.rd());
+                    let violations = ordering_violations(schedule, &expander, stage.rd());
                     if violations > 0 {
                         Verdict::UnderSynchronised { violations }
                     } else {

@@ -1,13 +1,22 @@
-//! Direct interpretation of a loop nest: enumerate statement instances in
-//! program (sequential) order.
+//! Direct interpretation of a loop nest: the production route to program
+//! (sequential) order.
 //!
-//! The symbolic route — enumerate the unified statement-level iteration
-//! space and decode each point — is exact but pays the cost of the integer
-//! set machinery.  For large concrete workloads (the Cholesky kernel runs
-//! close to a million statement instances at the paper's parameters) this
-//! module walks the loop tree directly, evaluating the affine bounds with
-//! the symbolic parameters bound to concrete values.  The two routes are
-//! cross-checked in the test-suite.
+//! [`Program::for_each_instance`] walks the loop tree, evaluating the
+//! affine bounds with the symbolic parameters bound to concrete values, and
+//! visits every statement instance in execution order;
+//! [`Program::enumerate_instances`] collects them.  The sequential
+//! reference schedule (`rcp_codegen::Schedule::sequential`), coverage
+//! validation and the differential fuzzer's reference execution are all
+//! built from this walk, so they share no code with the Presburger
+//! iteration space `Φ` the partitioners work over: a wrong `Φ` cannot
+//! agree with itself.
+//!
+//! The unified-space route — enumerate the statement-level iteration space
+//! (`Program::unified_iteration_space`) and decode each point — yields the
+//! same instances in the same order, because lexicographic order on the
+//! unified space is execution order.  It is exact but pays for the integer
+//! set machinery on every point, so it survives only as the test oracle
+//! that the walk is cross-checked against.
 
 use crate::expr::LinExpr;
 use crate::program::{Node, Program};
@@ -22,27 +31,28 @@ impl Program {
     /// Enumerates every statement instance of the program in sequential
     /// execution order for the given parameter values.
     pub fn enumerate_instances(&self, params: &[i64]) -> Vec<Instance> {
+        let mut out = Vec::new();
+        self.for_each_instance(params, |stmt, indices| out.push((stmt, indices.to_vec())));
+        out
+    }
+
+    /// Visits every statement instance in sequential execution order,
+    /// calling `visit(statement id, loop index values)` without
+    /// materialising the instance list.
+    pub fn for_each_instance(&self, params: &[i64], mut visit: impl FnMut(usize, &[i64])) {
         assert_eq!(params.len(), self.params.len(), "parameter count mismatch");
         let mut env: BTreeMap<String, i64> = BTreeMap::new();
         for (name, &value) in self.params.iter().zip(params) {
             env.insert(name.clone(), value);
         }
-        let mut out = Vec::new();
-        let mut indices = Vec::new();
-        let mut stmt_counter = 0usize;
-        walk(
-            &self.body,
-            &mut env,
-            &mut indices,
-            &mut stmt_counter,
-            &mut out,
-        );
-        out
+        walk(&self.body, &mut env, &mut Vec::new(), &mut 0, &mut visit);
     }
 
     /// Counts the statement instances without materialising them.
     pub fn count_instances(&self, params: &[i64]) -> usize {
-        self.enumerate_instances(params).len()
+        let mut count = 0;
+        self.for_each_instance(params, |_, _| count += 1);
+        count
     }
 }
 
@@ -61,28 +71,19 @@ fn eval_bound(exprs: &[LinExpr], env: &BTreeMap<String, i64>, is_lower: bool) ->
 /// The instance-enumeration core, shared with
 /// [`Program::enumerate_group_instances`]: walks `nodes` with the
 /// surrounding loop environment `env` and index prefix `indices` already
-/// in place, assigning statement ids from `stmt_counter` onwards.
-pub(crate) fn walk_nodes(
+/// in place, assigning statement ids from `stmt_counter` onwards and
+/// visiting each instance in execution order.
+pub(crate) fn walk(
     nodes: &[Node],
     env: &mut BTreeMap<String, i64>,
     indices: &mut IVec,
     stmt_counter: &mut usize,
-    out: &mut Vec<Instance>,
-) {
-    walk(nodes, env, indices, stmt_counter, out)
-}
-
-fn walk(
-    nodes: &[Node],
-    env: &mut BTreeMap<String, i64>,
-    indices: &mut IVec,
-    stmt_counter: &mut usize,
-    out: &mut Vec<Instance>,
+    visit: &mut impl FnMut(usize, &[i64]),
 ) {
     for node in nodes {
         match node {
             Node::Stmt(_) => {
-                out.push((*stmt_counter, indices.clone()));
+                visit(*stmt_counter, indices);
                 *stmt_counter += 1;
             }
             Node::Loop(l) => {
@@ -99,7 +100,7 @@ fn walk(
                     *stmt_counter = saved_counter;
                     env.insert(l.index.clone(), v);
                     indices.push(v);
-                    walk(&l.body, env, indices, stmt_counter, out);
+                    walk(&l.body, env, indices, stmt_counter, visit);
                     indices.pop();
                 }
                 env.remove(&l.index);

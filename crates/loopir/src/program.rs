@@ -380,7 +380,13 @@ impl Program {
         let mut out = Vec::new();
         let mut indices = prefix.to_vec();
         let mut stmt_counter = group.statements.first().copied().unwrap_or(0);
-        crate::interp::walk_nodes(body, &mut env, &mut indices, &mut stmt_counter, &mut out);
+        crate::interp::walk(
+            body,
+            &mut env,
+            &mut indices,
+            &mut stmt_counter,
+            &mut |stmt, idx| out.push((stmt, idx.to_vec())),
+        );
         out
     }
 

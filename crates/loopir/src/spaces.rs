@@ -11,6 +11,7 @@
 //!   space and lexicographic order on that space is execution order.
 
 use crate::expr::LinExpr;
+use crate::interp::Instance;
 use crate::program::{ArrayRef, Program, StatementInfo};
 use rcp_intlin::{IMat, IVec};
 use rcp_presburger::{Affine, Constraint, ConvexSet, Space, UnionSet};
@@ -51,6 +52,62 @@ impl AccessMap {
                 Affine::new(coeffs, self.offset[d])
             })
             .collect()
+    }
+}
+
+/// Decodes unified index vectors back into statement instances.  The
+/// statement layout (ids, depths and position vectors) is captured once at
+/// construction, so decoding a point costs one scan over the statements
+/// instead of a walk of the whole program.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct InstanceDecoder {
+    /// Maximum nesting depth of the program.
+    max_depth: usize,
+    /// `(statement id, position vector)` per statement, in program order;
+    /// a statement's depth is its position vector's length minus one.
+    statements: Vec<(usize, Vec<i64>)>,
+}
+
+impl InstanceDecoder {
+    /// Captures the statement layout of `program`.
+    pub fn new(program: &Program) -> Self {
+        let statements: Vec<(usize, Vec<i64>)> = program
+            .statements()
+            .into_iter()
+            .map(|info| (info.id, info.positions))
+            .collect();
+        let max_depth = statements
+            .iter()
+            .map(|(_, positions)| positions.len() - 1)
+            .max()
+            .unwrap_or(0);
+        InstanceDecoder {
+            max_depth,
+            statements,
+        }
+    }
+
+    /// Decodes a unified index vector into `(statement id, loop index
+    /// values)`, or `None` when it names no statement instance: its
+    /// position dimensions match no statement, or its padding is non-zero.
+    pub fn decode(&self, point: &[i64]) -> Option<Instance> {
+        let max_depth = self.max_depth;
+        assert_eq!(
+            point.len(),
+            2 * max_depth + 1,
+            "unified point arity mismatch"
+        );
+        self.statements.iter().find_map(|(id, positions)| {
+            let depth = positions.len() - 1;
+            let positions_match = positions
+                .iter()
+                .enumerate()
+                .all(|(k, &p)| point[2 * k] == p);
+            let padding_zero =
+                (depth + 1..=max_depth).all(|k| point[2 * k - 1] == 0 && point[2 * k] == 0);
+            (positions_match && padding_zero)
+                .then(|| (*id, (0..depth).map(|k| point[2 * k + 1]).collect()))
+        })
     }
 }
 
@@ -163,35 +220,10 @@ impl Program {
 
     /// Decodes a unified index vector back into `(statement id, loop index
     /// values)`.  Returns `None` when the point does not correspond to any
-    /// statement of the program.
-    pub fn decode_instance(&self, point: &[i64]) -> Option<(usize, IVec)> {
-        assert_eq!(
-            point.len(),
-            self.unified_dim(),
-            "unified point arity mismatch"
-        );
-        let max_depth = self.max_depth();
-        for info in self.statements() {
-            let depth = info.depth();
-            // position dims must match
-            let positions_match = info
-                .positions
-                .iter()
-                .enumerate()
-                .all(|(k, &p)| point[2 * k] == p);
-            if !positions_match {
-                continue;
-            }
-            // padding dims must be zero
-            let padding_zero =
-                (depth + 1..=max_depth).all(|k| point[2 * k - 1] == 0 && point[2 * k] == 0);
-            if !padding_zero {
-                continue;
-            }
-            let indices: IVec = (0..depth).map(|k| point[2 * k + 1]).collect();
-            return Some((info.id, indices));
-        }
-        None
+    /// statement of the program.  Decoding many points should build one
+    /// [`InstanceDecoder`] and reuse it; this is a single-use shorthand.
+    pub fn decode_instance(&self, point: &[i64]) -> Option<Instance> {
+        InstanceDecoder::new(self).decode(point)
     }
 
     /// The statement-local iteration set: the membership constraints of

@@ -48,11 +48,11 @@ pub use api::{
 
 use std::collections::VecDeque;
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cache::AnalysisCache;
 use http::{Request, Response};
@@ -630,6 +630,35 @@ fn route(ctx: &Context, req: &Request) -> Response {
     }
 }
 
+/// How long [`close_unread`] waits for the client to finish sending.
+const DRAIN_TIMEOUT: Duration = Duration::from_millis(250);
+
+/// The most request bytes [`close_unread`] reads and discards.
+const DRAIN_LIMIT: usize = 64 * 1024;
+
+/// Closes a connection whose request was answered without being read.
+/// Closing a socket with unread input sends an RST, which can destroy the
+/// response still in flight, so the write side is half-closed first (the
+/// client sees the response, then end of stream) and the request is
+/// drained until the client closes its end, [`DRAIN_TIMEOUT`] passes or
+/// [`DRAIN_LIMIT`] bytes were read.
+fn close_unread(mut stream: TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + DRAIN_TIMEOUT;
+    let mut buf = [0u8; 4096];
+    let mut drained = 0;
+    while drained < DRAIN_LIMIT {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
+        match std::io::Read::read(&mut stream, &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => drained += n,
+        }
+    }
+}
+
 fn handle_connection(ctx: &Context, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
@@ -718,7 +747,7 @@ impl Server {
                             Ok(()) => {}
                             Err((admission, mut stream)) => {
                                 // Overload answers inline from the accept
-                                // thread, without reading the request: a
+                                // thread, without parsing the request: a
                                 // typed body, never a silently dropped
                                 // connection.
                                 rcp_trace::counter("serve.requests.rejected").inc();
@@ -728,6 +757,7 @@ impl Server {
                                 };
                                 let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
                                 let _ = error_body(status, message).write_to(&mut stream);
+                                close_unread(stream);
                             }
                         }
                     }

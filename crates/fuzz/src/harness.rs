@@ -17,8 +17,11 @@
 //!    published scheme drops or duplicates work.
 //!
 //! 2. **Execution.**  Structurally sound schedules are executed at 1, 2 and
-//!    4 threads and their stores diffed against the sequential store with
-//!    tolerance **zero**.  Any mismatch or detected write-write race is a
+//!    4 threads on two paths — the race-detecting default executor and the
+//!    trusted pool path (race detection off, sequential fallback off, so
+//!    workers write straight into the shared store even for tiny nests) —
+//!    and their stores diffed against the sequential store with tolerance
+//!    **zero**.  Any mismatch or detected write-write race is a
 //!    [`Verdict::Discrepancy`].  This still catches genuine analysis bugs:
 //!    if the dependence analysis misses an edge, the schedule passes the
 //!    structural check *against the wrong `Rd`* but the executed store
@@ -32,7 +35,7 @@ use rcp_core::{concrete_partition, symbolic_plan};
 use rcp_intlin::IVec;
 use rcp_loopir::Program;
 use rcp_presburger::DenseRelation;
-use rcp_runtime::{execute_schedule, execute_sequential, RefKernel};
+use rcp_runtime::{execute_schedule, execute_sequential, ParallelExecutor, RefKernel};
 use rcp_session::{scheme_names, Config, RcpError, Session};
 
 use crate::generator::generate;
@@ -203,20 +206,28 @@ pub fn run_case(program: &Program, params: &[(String, i64)]) -> Result<CaseResul
                         Verdict::UnderSynchronised { violations }
                     } else {
                         let mut verdict = Verdict::Passed;
-                        for threads in FUZZ_THREADS {
-                            let result = execute_schedule(schedule, &kernel, threads);
-                            let mismatches = reference.diff(&result.store, 0.0);
-                            if !mismatches.is_empty() || !result.races.is_empty() {
-                                verdict = Verdict::Discrepancy(Discrepancy {
-                                    scheme: scheme.to_string(),
-                                    threads,
-                                    detail: format!(
-                                        "{} store mismatch(es), {} race(s) vs sequential",
-                                        mismatches.len(),
-                                        result.races.len()
-                                    ),
-                                });
-                                break;
+                        'threads: for threads in FUZZ_THREADS {
+                            let trusted = ParallelExecutor::new(threads)
+                                .with_race_detection(false)
+                                .with_sequential_fallback(false);
+                            let runs = [
+                                ("", execute_schedule(schedule, &kernel, threads)),
+                                (" (trusted pool)", trusted.execute(schedule, &kernel)),
+                            ];
+                            for (path, result) in runs {
+                                let mismatches = reference.diff(&result.store, 0.0);
+                                if !mismatches.is_empty() || !result.races.is_empty() {
+                                    verdict = Verdict::Discrepancy(Discrepancy {
+                                        scheme: scheme.to_string(),
+                                        threads,
+                                        detail: format!(
+                                            "{} store mismatch(es), {} race(s) vs sequential{path}",
+                                            mismatches.len(),
+                                            result.races.len()
+                                        ),
+                                    });
+                                    break 'threads;
+                                }
                             }
                         }
                         verdict

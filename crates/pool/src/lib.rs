@@ -3,7 +3,7 @@
 //! This is the generalisation of the `ParallelExecutor` worker pool into a
 //! reusable building block: any data-parallel, *non-schedule* work — sharded
 //! dependence analysis over reference pairs, sharded trace construction over
-//! statement-instance ranges, per-array barrier merges — runs through
+//! statement-instance ranges, concurrent benchmark experiments — runs through
 //! [`par_map`] instead of hand-rolling its own `std::thread::scope` loop.
 //! It sits directly above `rcp-guard` and below every other workspace crate,
 //! so both the analysis front end (`rcp-depend`) and the runtime
@@ -41,9 +41,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-/// The number of hardware threads available to this process (at least 1).
+/// The number of hardware threads available to this process (at least 1),
+/// read once: `available_parallelism` re-reads cgroup files on every call.
 pub fn available_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Registry counter handles, resolved once: `par_map` can be called in

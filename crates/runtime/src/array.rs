@@ -1,45 +1,164 @@
 //! The array store: the memory the generated loops compute on.
 //!
-//! Arrays are stored sparsely (element index vector → `f64`), which handles
-//! the negative subscripts of the Cholesky kernel and the unknown extents of
-//! parametric loops without any up-front sizing.  Elements that were never
+//! Every array is a dense row-major slab over a box — an origin and an
+//! extent per dimension — with one written flag per slot.  Boxes may start
+//! at negative subscripts (the Cholesky kernel), and arrays are keyed by
+//! name *and* rank, so `a[i]` and `a[i,j]` in one program stay distinct
+//! arrays.  The executor sizes every box up front from the schedule's
+//! write [`Footprint`]; writes through `&mut` outside the box grow it, so
+//! stores built without a footprint (a replay of instances into
+//! [`ArrayStore::new`]) need no sizing either.  Elements that were never
 //! written read as a deterministic, index-dependent initial value so that
 //! result comparison between the sequential and the parallel execution is
 //! meaningful even for partially-initialised arrays.
+//!
+//! Slots are `AtomicU64`s holding `f64` bits: `&mut` access goes through
+//! `get_mut`, shared access through relaxed loads and stores.  That lets the
+//! trusted parallel path write straight into one shared store without
+//! `unsafe`; an invalid schedule there yields a wrong store (which the
+//! verification diff catches), never undefined behaviour.
 
 use rcp_intlin::IVec;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 
-/// A single (sparse, dynamically sized) multi-dimensional array of `f64`.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// A single dense multi-dimensional array of `f64` over a box.
+#[derive(Debug)]
 pub struct Array {
-    elements: HashMap<IVec, f64>,
+    origin: Vec<i64>,
+    extents: Vec<usize>,
+    values: Vec<AtomicU64>,
+    written: Vec<AtomicBool>,
 }
 
 impl Array {
-    /// Creates an empty array.
-    pub fn new() -> Self {
-        Array::default()
+    /// An array of no written elements over the box `origin .. origin +
+    /// extents` (one extent per dimension, each at least 1).
+    // Panic-hygiene allow: a box whose slot count overflows `usize` could
+    // never be allocated anyway; failing loudly beats a wrapped size.
+    #[allow(clippy::expect_used)]
+    fn with_box(origin: Vec<i64>, extents: Vec<usize>) -> Self {
+        let slots = extents
+            .iter()
+            .try_fold(1usize, |n, &e| n.checked_mul(e))
+            .expect("array box too large to address");
+        Array {
+            origin,
+            extents,
+            values: (0..slots).map(|_| AtomicU64::new(0)).collect(),
+            written: (0..slots).map(|_| AtomicBool::new(false)).collect(),
+        }
+    }
+
+    /// The number of subscripts of an element.
+    pub fn rank(&self) -> usize {
+        self.origin.len()
+    }
+
+    /// The row-major slot of `index`, or `None` outside the box.
+    fn slot(&self, index: &[i64]) -> Option<usize> {
+        if index.len() != self.rank() {
+            return None;
+        }
+        let mut slot = 0usize;
+        for ((&x, &lo), &extent) in index.iter().zip(&self.origin).zip(&self.extents) {
+            // Below the origin wraps to a huge offset, so one compare
+            // rejects both sides of the box.
+            let offset = x.wrapping_sub(lo) as u64;
+            if offset >= extent as u64 {
+                return None;
+            }
+            slot = slot * extent + offset as usize;
+        }
+        Some(slot)
+    }
+
+    /// The value of a written slot, or `None` when it was never written.
+    fn written_value(&self, slot: usize) -> Option<f64> {
+        self.written[slot]
+            .load(Relaxed)
+            .then(|| f64::from_bits(self.values[slot].load(Relaxed)))
+    }
+
+    /// The value of `index`, or `None` when it was never written.
+    fn written_at(&self, index: &[i64]) -> Option<f64> {
+        self.slot(index).and_then(|slot| self.written_value(slot))
     }
 
     /// Reads an element; unwritten elements return a deterministic initial
     /// value derived from the index (a stand-in for "whatever the program
     /// initialised the array with").
     pub fn get(&self, index: &[i64]) -> f64 {
-        match self.elements.get(index) {
-            Some(&v) => v,
-            None => Self::initial_value(index),
+        self.written_at(index)
+            .unwrap_or_else(|| Self::initial_value(index))
+    }
+
+    /// Writes an element, growing the box when `index` lies outside it.
+    ///
+    /// # Panics
+    /// Panics when `index` does not have the array's rank.
+    // Panic-hygiene allow: `grow_to` just made the box cover `index`.
+    #[allow(clippy::expect_used)]
+    pub fn set(&mut self, index: &[i64], value: f64) {
+        let slot = match self.slot(index) {
+            Some(slot) => slot,
+            None => {
+                self.grow_to(index);
+                self.slot(index).expect("the grown box covers the index")
+            }
+        };
+        *self.values[slot].get_mut() = value.to_bits();
+        *self.written[slot].get_mut() = true;
+    }
+
+    /// Writes an element through a shared reference; returns `false` (and
+    /// writes nothing) when `index` lies outside the box.
+    fn set_shared(&self, index: &[i64], value: f64) -> bool {
+        match self.slot(index) {
+            Some(slot) => {
+                self.values[slot].store(value.to_bits(), Relaxed);
+                self.written[slot].store(true, Relaxed);
+                true
+            }
+            None => false,
         }
     }
 
-    /// Writes an element.
-    pub fn set(&mut self, index: &[i64], value: f64) {
-        self.elements.insert(index.to_vec(), value);
+    /// Re-lays the array over a box that also covers `index`.  Only the
+    /// dimensions `index` lies outside of grow, only towards `index`, with
+    /// a quarter of the new extent as slack so a run of writes walking
+    /// outwards re-lays geometrically rarely.
+    fn grow_to(&mut self, index: &[i64]) {
+        assert_eq!(index.len(), self.rank(), "subscript rank mismatch");
+        let mut origin = self.origin.clone();
+        let mut extents = self.extents.clone();
+        for (d, &x) in index.iter().enumerate() {
+            let (lo, hi) = (origin[d], origin[d] + extents[d] as i64 - 1);
+            if x < lo {
+                let need = (hi - x + 1) as usize;
+                origin[d] = x - (need / 4) as i64;
+                extents[d] = need + need / 4;
+            } else if x > hi {
+                let need = (x - lo + 1) as usize;
+                extents[d] = need + need / 4;
+            }
+        }
+        let old = std::mem::replace(self, Array::with_box(origin, extents));
+        let mut at = vec![0i64; old.rank()];
+        for (slot, (value, written)) in old.values.into_iter().zip(old.written).enumerate() {
+            if written.into_inner() {
+                index_of(&old.origin, &old.extents, slot, &mut at);
+                if let Some(new_slot) = self.slot(&at) {
+                    *self.values[new_slot].get_mut() = value.into_inner();
+                    *self.written[new_slot].get_mut() = true;
+                }
+            }
+        }
     }
 
     /// Number of elements that have been written.
     pub fn written_len(&self) -> usize {
-        self.elements.len()
+        self.written.iter().filter(|w| w.load(Relaxed)).count()
     }
 
     /// The deterministic initial value of an element.
@@ -53,16 +172,115 @@ impl Array {
         acc
     }
 
-    /// Iterates the written elements.
-    pub fn iter(&self) -> impl Iterator<Item = (&IVec, &f64)> {
-        self.elements.iter()
+    /// Visits the written elements in lexicographic index order.
+    pub fn for_each_written(&self, mut f: impl FnMut(&[i64], f64)) {
+        let mut index = vec![0i64; self.rank()];
+        for slot in 0..self.values.len() {
+            if let Some(value) = self.written_value(slot) {
+                index_of(&self.origin, &self.extents, slot, &mut index);
+                f(&index, value);
+            }
+        }
     }
 }
 
-/// A named collection of arrays.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// Writes the subscripts of row-major `slot` of the box `origin ..
+/// origin + extents` into `index`.
+fn index_of(origin: &[i64], extents: &[usize], mut slot: usize, index: &mut [i64]) {
+    for d in (0..origin.len()).rev() {
+        index[d] = origin[d] + (slot % extents[d]) as i64;
+        slot /= extents[d];
+    }
+}
+
+impl Clone for Array {
+    fn clone(&self) -> Self {
+        Array {
+            origin: self.origin.clone(),
+            extents: self.extents.clone(),
+            values: self
+                .values
+                .iter()
+                .map(|v| AtomicU64::new(v.load(Relaxed)))
+                .collect(),
+            written: self
+                .written
+                .iter()
+                .map(|w| AtomicBool::new(w.load(Relaxed)))
+                .collect(),
+        }
+    }
+}
+
+/// Two arrays are equal when they wrote the same elements with equal
+/// values; their boxes do not matter.
+impl PartialEq for Array {
+    fn eq(&self, other: &Self) -> bool {
+        if self.rank() != other.rank() || self.written_len() != other.written_len() {
+            return false;
+        }
+        let mut equal = true;
+        self.for_each_written(|index, value| {
+            equal &= other.written_at(index) == Some(value);
+        });
+        equal
+    }
+}
+
+/// The bounding boxes of the elements a schedule writes, per array name and
+/// rank: what [`ArrayStore::with_footprint`] sizes a store from.
+///
+/// It is also a [`StoreView`] that records writes and answers reads with
+/// initial values, which is how the default [`crate::Kernel::footprint`]
+/// observes a kernel.
+#[derive(Clone, Debug, Default)]
+pub struct Footprint {
+    /// `(array, lowest, highest)` subscripts per written array.
+    boxes: Vec<(String, IVec, IVec)>,
+}
+
+impl Footprint {
+    /// An empty footprint.
+    pub fn new() -> Self {
+        Footprint::default()
+    }
+
+    /// Widens the footprint to cover `array[index]`.
+    pub fn include(&mut self, array: &str, index: &[i64]) {
+        let found = self
+            .boxes
+            .iter_mut()
+            .find(|(name, lo, _)| lo.len() == index.len() && name == array);
+        match found {
+            Some((_, lo, hi)) => {
+                for ((&x, lo), hi) in index.iter().zip(lo.iter_mut()).zip(hi.iter_mut()) {
+                    *lo = (*lo).min(x);
+                    *hi = (*hi).max(x);
+                }
+            }
+            None => self
+                .boxes
+                .push((array.to_string(), index.to_vec(), index.to_vec())),
+        }
+    }
+}
+
+impl StoreView for Footprint {
+    fn read(&self, _array: &str, index: &[i64]) -> f64 {
+        Array::initial_value(index)
+    }
+    fn write(&mut self, array: &str, index: &[i64], _value: f64) {
+        self.include(array, index);
+    }
+}
+
+/// A collection of arrays, keyed by name and rank.
+///
+/// The arrays live in a short vector searched by name, so an access to an
+/// existing array hashes and allocates nothing.
+#[derive(Clone, Debug, Default)]
 pub struct ArrayStore {
-    arrays: HashMap<String, Array>,
+    arrays: Vec<(String, Array)>,
 }
 
 impl ArrayStore {
@@ -71,77 +289,129 @@ impl ArrayStore {
         ArrayStore::default()
     }
 
+    /// An empty store whose arrays are laid out over exactly the boxes of
+    /// `footprint`, so writes inside it never re-lay an array.
+    pub fn with_footprint(footprint: &Footprint) -> Self {
+        let arrays = footprint
+            .boxes
+            .iter()
+            .map(|(name, lo, hi)| {
+                let extents = lo.iter().zip(hi).map(|(l, h)| (h - l + 1) as usize);
+                (name.clone(), Array::with_box(lo.clone(), extents.collect()))
+            })
+            .collect();
+        ArrayStore { arrays }
+    }
+
+    /// The array `name` of the given rank, if the store holds one.
+    pub fn array(&self, name: &str, rank: usize) -> Option<&Array> {
+        self.arrays
+            .iter()
+            .find(|(n, a)| a.rank() == rank && n == name)
+            .map(|(_, a)| a)
+    }
+
     /// Reads `array[index]`.
     pub fn get(&self, array: &str, index: &[i64]) -> f64 {
-        match self.arrays.get(array) {
+        match self.array(array, index.len()) {
             Some(a) => a.get(index),
             None => Array::initial_value(index),
         }
     }
 
-    /// Writes `array[index] = value`.
+    /// Writes `array[index] = value`, creating or growing the array.
     pub fn set(&mut self, array: &str, index: &[i64], value: f64) {
-        self.arrays
-            .entry(array.to_string())
-            .or_default()
-            .set(index, value);
+        let found = self
+            .arrays
+            .iter_mut()
+            .find(|(n, a)| a.rank() == index.len() && n == array);
+        match found {
+            Some((_, a)) => a.set(index, value),
+            None => {
+                let mut a = Array::with_box(index.to_vec(), vec![1; index.len()]);
+                a.set(index, value);
+                self.arrays.push((array.to_string(), a));
+            }
+        }
     }
 
-    /// The named array, if any element of it has been written.
-    pub fn array(&self, name: &str) -> Option<&Array> {
-        self.arrays.get(name)
-    }
-
-    /// Removes and returns the named array (an empty array when it was
-    /// never written).  Together with [`Self::insert_array`] this lets the
-    /// phase-barrier merge take disjoint arrays out of the store, fill them
-    /// on different threads, and put them back.
-    pub fn take_array(&mut self, name: &str) -> Array {
-        self.arrays.remove(name).unwrap_or_default()
-    }
-
-    /// (Re-)inserts an array under the given name, replacing any existing
-    /// contents.
-    pub fn insert_array(&mut self, name: &str, array: Array) {
-        self.arrays.insert(name.to_string(), array);
+    /// Writes `array[index] = value` through a shared reference; returns
+    /// `false` (and writes nothing) when the element lies outside every
+    /// box of the store.  Concurrent writers of distinct elements never
+    /// interfere; concurrent writers of one element leave one of the values.
+    pub(crate) fn set_shared(&self, array: &str, index: &[i64], value: f64) -> bool {
+        self.array(array, index.len())
+            .is_some_and(|a| a.set_shared(index, value))
     }
 
     /// Total number of written elements across all arrays.
     pub fn written_len(&self) -> usize {
-        self.arrays.values().map(|a| a.written_len()).sum()
+        self.arrays.iter().map(|(_, a)| a.written_len()).sum()
     }
 
-    /// Compares two stores element-wise; returns the mismatching
-    /// `(array, index, left, right)` tuples (with a small absolute
-    /// tolerance for floating-point accumulation differences).
+    /// Compares two stores element-wise over the union of their written
+    /// elements; returns the mismatching `(array, index, left, right)`
+    /// tuples in lexicographic `(array, index)` order.  Two values match
+    /// when they differ by at most `tolerance`.
     pub fn diff(&self, other: &ArrayStore, tolerance: f64) -> Vec<(String, IVec, f64, f64)> {
         let mut mismatches = Vec::new();
-        let mut names: Vec<&String> = self.arrays.keys().chain(other.arrays.keys()).collect();
-        names.sort();
-        names.dedup();
-        for name in names {
-            let empty = Array::new();
-            let left = self.arrays.get(name.as_str()).unwrap_or(&empty);
-            let right = other.arrays.get(name.as_str()).unwrap_or(&empty);
-            let mut indices: Vec<&IVec> =
-                left.elements.keys().chain(right.elements.keys()).collect();
-            indices.sort();
-            indices.dedup();
-            for idx in indices {
-                let a = left.get(idx);
-                let b = right.get(idx);
+        let mut keys: Vec<(&str, usize)> = self
+            .arrays
+            .iter()
+            .chain(&other.arrays)
+            .map(|(name, a)| (name.as_str(), a.rank()))
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        for (name, rank) in keys {
+            let left = self.array(name, rank);
+            let right = other.array(name, rank);
+            let mut check = |index: &[i64], a: f64, b: f64| {
                 if (a - b).abs() > tolerance {
-                    mismatches.push((name.clone(), idx.clone(), a, b));
+                    mismatches.push((name.to_string(), index.to_vec(), a, b));
                 }
+            };
+            if let Some(left) = left {
+                left.for_each_written(|index, a| {
+                    let b = right.map_or_else(|| Array::initial_value(index), |r| r.get(index));
+                    check(index, a, b);
+                });
+            }
+            if let Some(right) = right {
+                right.for_each_written(|index, b| {
+                    if left.and_then(|l| l.written_at(index)).is_none() {
+                        check(index, Array::initial_value(index), b);
+                    }
+                });
             }
         }
+        // Each array is walked in index order; the two passes and arrays
+        // sharing a name at different ranks interleave, so order the
+        // (usually empty) mismatch list once at the end.
+        mismatches.sort_by(|x, y| (&x.0, &x.1).cmp(&(&y.0, &y.1)));
         mismatches
     }
 }
 
+/// Two stores are equal when they wrote the same elements with equal
+/// values; array boxes and arrays with no written element do not matter.
+impl PartialEq for ArrayStore {
+    fn eq(&self, other: &Self) -> bool {
+        let covered = |a: &ArrayStore, b: &ArrayStore| {
+            a.arrays
+                .iter()
+                .all(|(name, array)| match b.array(name, array.rank()) {
+                    Some(theirs) => array == theirs,
+                    None => array.written_len() == 0,
+                })
+        };
+        covered(self, other) && covered(other, self)
+    }
+}
+
 /// A read/write view of the store used by kernels.  The plain store
-/// implements it directly; the parallel executor supplies buffered views
-/// that defer writes until the end of a phase.
+/// implements it directly; the parallel executor supplies views that
+/// buffer writes until the end of a phase or write into a shared store.
 pub trait StoreView {
     /// Reads `array[index]`.
     fn read(&self, array: &str, index: &[i64]) -> f64;
@@ -159,8 +429,8 @@ impl StoreView for ArrayStore {
 }
 
 /// A view that reads through to a frozen base store but keeps all writes in
-/// a local overlay: used for chains and work items executed concurrently
-/// with others in the same phase.
+/// a local overlay: used by the race-detecting executor for units executed
+/// concurrently with others in the same phase.
 ///
 /// The overlay is keyed per array so that the hot read path needs no
 /// allocation (a `&str` array name and `&[i64]` index borrow straight into
@@ -243,6 +513,73 @@ mod tests {
         s.set("a", &[-3, 0], 7.0); // negative subscripts are fine
         assert_eq!(s.get("a", &[-3, 0]), 7.0);
         assert_eq!(s.written_len(), 2);
+    }
+
+    #[test]
+    fn ranks_key_distinct_arrays() {
+        let mut s = ArrayStore::new();
+        s.set("a", &[1], 1.0);
+        s.set("a", &[1, 0], 2.0);
+        assert_eq!(s.get("a", &[1]), 1.0);
+        assert_eq!(s.get("a", &[1, 0]), 2.0);
+        assert_eq!(s.written_len(), 2);
+        let d = s.diff(&ArrayStore::new(), 0.0);
+        let indices: Vec<&IVec> = d.iter().map(|m| &m.1).collect();
+        assert_eq!(
+            indices,
+            [&vec![1], &vec![1, 0]],
+            "lexicographic across ranks"
+        );
+    }
+
+    #[test]
+    fn growth_keeps_written_elements_and_stays_within_a_quarter_of_slack() {
+        // Rows walk downwards from 0, columns upwards from -7.
+        let mut a = Array::with_box(vec![0, -7], vec![1, 1]);
+        for i in (-39..=0).rev() {
+            for j in 0..10 {
+                a.set(&[i, j * 3 - 7], (i * 100 + j) as f64);
+            }
+        }
+        for i in -39..=0 {
+            for j in 0..10 {
+                assert_eq!(a.get(&[i, j * 3 - 7]), (i * 100 + j) as f64);
+            }
+        }
+        assert_eq!(a.written_len(), 400);
+        // Each dimension grew only towards its writes, by at most a quarter.
+        assert_eq!(a.origin[0] + a.extents[0] as i64 - 1, 0);
+        assert!(a.extents[0] >= 40 && a.extents[0] <= 50, "{:?}", a.extents);
+        assert_eq!(a.origin[1], -7);
+        assert!(a.extents[1] >= 28 && a.extents[1] <= 35, "{:?}", a.extents);
+    }
+
+    #[test]
+    fn footprint_sized_stores_accept_shared_writes_inside_the_box_only() {
+        let mut footprint = Footprint::new();
+        footprint.include("a", &[2, -1]);
+        footprint.include("a", &[-2, 3]);
+        let store = ArrayStore::with_footprint(&footprint);
+        assert!(store.set_shared("a", &[0, 0], 5.0));
+        assert!(!store.set_shared("a", &[3, 0], 5.0));
+        assert!(!store.set_shared("b", &[0, 0], 5.0));
+        assert_eq!(store.get("a", &[0, 0]), 5.0);
+        assert_eq!(store.written_len(), 1);
+    }
+
+    #[test]
+    fn equality_ignores_boxes() {
+        let mut footprint = Footprint::new();
+        footprint.include("x", &[-5]);
+        footprint.include("x", &[5]);
+        footprint.include("y", &[0, 0]);
+        let mut sized = ArrayStore::with_footprint(&footprint);
+        let mut grown = ArrayStore::new();
+        sized.set("x", &[1], 1.0);
+        grown.set("x", &[1], 1.0);
+        assert_eq!(sized, grown);
+        grown.set("x", &[2], 1.0);
+        assert_ne!(sized, grown);
     }
 
     #[test]

@@ -8,14 +8,19 @@
 //!   threads.  Work items of a DOALL phase and different chains of a chain
 //!   phase — the independent recurrence chains of the paper's Theorem-1
 //!   partition — execute concurrently; small units are packed into batches
-//!   so per-unit scheduling overhead stays amortised.  Each unit computes
-//!   against the frozen pre-phase store through a [`BufferedView`], and the
-//!   buffered writes are merged at the phase barrier.  Overlapping writes
-//!   by two concurrent units are reported as a race (a correct partition
-//!   never produces one).  On the trusted-schedule fast path large barrier
-//!   merges are sharded per-array over the pool, and a cost-model-driven
-//!   sequential fallback (see [`ParallelExecutor::with_sequential_fallback`])
-//!   runs schedules too small to amortise pool overhead inline instead.
+//!   so per-unit scheduling overhead stays amortised.  With race detection
+//!   on (the default, and what verification uses) each unit computes
+//!   against the frozen pre-phase store through a [`BufferedView`], the
+//!   buffered writes are merged at the phase barrier, and overlapping
+//!   writes by two concurrent units are reported as a race (a correct
+//!   partition never produces one).  On the trusted-schedule path (race
+//!   detection off) workers write straight into the one shared store, so a
+//!   phase barrier merges nothing.  A cost-model-driven sequential fallback
+//!   (see [`ParallelExecutor::with_sequential_fallback`]) runs schedules
+//!   too small to amortise pool overhead inline instead.
+//! * Every path except the race-detecting pool starts from a store sized
+//!   to the schedule's write footprint ([`Kernel::footprint`]), so no array
+//!   is re-laid while the schedule runs.
 //! * [`verify_schedule`] compares the parallel result against the
 //!   sequential result element-wise.
 //!
@@ -26,7 +31,7 @@
 //! rayon-backed implementation would have, and `ParallelExecutor` is the
 //! single seam to swap one in.
 
-use crate::array::{Array, ArrayStore, BufferedView};
+use crate::array::{ArrayStore, BufferedView, Footprint, StoreView};
 use crate::cost::CostModel;
 use crate::kernel::Kernel;
 use rcp_codegen::{Phase, Schedule, WorkItem};
@@ -42,7 +47,6 @@ use std::time::{Duration, Instant};
 struct ExecMetrics {
     phases: rcp_trace::Counter,
     merge_replay: rcp_trace::Counter,
-    merge_sharded: rcp_trace::Counter,
     merge_writes: rcp_trace::Counter,
     races: rcp_trace::Counter,
     phase_us: rcp_trace::Histogram,
@@ -53,7 +57,6 @@ fn metrics() -> &'static ExecMetrics {
     METRICS.get_or_init(|| ExecMetrics {
         phases: rcp_trace::counter("executor.phases"),
         merge_replay: rcp_trace::counter("executor.merge.replay"),
-        merge_sharded: rcp_trace::counter("executor.merge.sharded"),
         merge_writes: rcp_trace::counter("executor.merge.writes"),
         races: rcp_trace::counter("executor.races"),
         phase_us: rcp_trace::histogram("executor.phase_us"),
@@ -83,24 +86,36 @@ impl ExecutionResult {
 
 /// Executes the program sequentially (original statement-instance order).
 pub fn execute_sequential(schedule: &Schedule, kernel: &dyn Kernel) -> ArrayStore {
-    let mut store = ArrayStore::new();
+    let mut store = footprint_store(schedule, kernel);
     for phase in &schedule.phases {
-        match phase {
-            Phase::Doall(items) => {
-                for item in items {
-                    run_item(item, kernel, &mut store);
-                }
-            }
-            Phase::ChainSet(chains) => {
-                for chain in chains {
-                    for item in chain {
-                        run_item(item, kernel, &mut store);
-                    }
-                }
-            }
+        for item in phase_items(phase) {
+            run_item(item, kernel, &mut store);
         }
     }
     store
+}
+
+/// An empty store sized to the write footprint of every instance of the
+/// schedule.  A kernel panic during the footprint pass is re-raised with
+/// executor context, like a panic during execution.
+fn footprint_store(schedule: &Schedule, kernel: &dyn Kernel) -> ArrayStore {
+    let pass = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let mut footprint = Footprint::new();
+        for phase in &schedule.phases {
+            for item in phase_items(phase) {
+                for (stmt, indices) in &item.instances {
+                    kernel.footprint(*stmt, indices, &mut footprint);
+                }
+            }
+        }
+        footprint
+    }));
+    match pass {
+        Ok(footprint) => ArrayStore::with_footprint(&footprint),
+        Err(payload) => {
+            rcp_guard::resume_with_context(payload, "executor footprint pass".to_string())
+        }
+    }
 }
 
 /// Executes a schedule with `n_threads` workers (see [`ParallelExecutor`]).
@@ -133,18 +148,13 @@ pub struct ParallelExecutor {
 /// order, distinct units may run on different workers.
 type Unit<'s> = &'s [WorkItem];
 
-/// The buffered writes of one unit or batch, grouped by array.
+/// The buffered writes of one unit, grouped by array.
 type WriteBuffer = Vec<(String, Vec<(IVec, f64)>)>;
 
 impl ParallelExecutor {
     /// Default number of statement instances a batch is grown to before the
     /// next unit starts a new batch.
     pub const DEFAULT_MIN_BATCH_INSTANCES: usize = 64;
-
-    /// Buffered writes below this count are merged inline at the barrier;
-    /// at or above it (without race detection) the merge is sharded
-    /// per-array over the pool.
-    pub const PAR_MERGE_MIN_WRITES: usize = 8 * 1024;
 
     /// An executor with `n_threads` workers (0 and 1 both mean "run
     /// inline"), default batching, and the cost-model-driven sequential
@@ -170,11 +180,12 @@ impl ParallelExecutor {
     ///
     /// Detection is on by default and is what [`verify_schedule`] relies
     /// on.  Disabling it is the trusted-schedule fast path for measured
-    /// benchmark runs: units of one batch then share one write buffer, so
-    /// the executor does no per-unit bookkeeping and the barrier merge does
-    /// no conflict tracking.  For a *valid* schedule (disjoint writes
-    /// between concurrent units, reads only of pre-phase values) the final
-    /// store is identical either way.
+    /// benchmark runs: workers then write straight into the shared store,
+    /// with no per-unit buffer and no barrier merge.  For a *valid*
+    /// schedule (concurrent units neither write an element another one
+    /// reads or writes) the final store is identical either way; for an
+    /// invalid one the store is wrong — which a diff against the
+    /// sequential store catches — but never undefined.
     pub fn with_race_detection(mut self, detect_races: bool) -> Self {
         self.detect_races = detect_races;
         self
@@ -244,10 +255,10 @@ impl ParallelExecutor {
         schedule: &Schedule,
         kernel: &(dyn Kernel + Sync),
     ) -> ExecutionResult {
-        let mut store = ArrayStore::new();
+        let start_all = Instant::now();
+        let mut store = footprint_store(schedule, kernel);
         let mut phase_times = Vec::with_capacity(schedule.phases.len());
         let mut races = Vec::new();
-        let start_all = Instant::now();
         for phase in &schedule.phases {
             let start = Instant::now();
             rcp_guard::tick(rcp_guard::Stage::Execution, 1);
@@ -272,13 +283,11 @@ impl ParallelExecutor {
                     }
                 }
             } else {
-                let buffers: Vec<std::ops::Range<usize>> =
-                    (0..units.len()).map(|k| k..k + 1).collect();
-                let buffer_writes: Vec<WriteBuffer> = buffers
+                let buffer_writes: Vec<WriteBuffer> = units
                     .iter()
-                    .map(|r| run_buffer(&units, r.clone(), &store, kernel))
+                    .map(|unit| run_buffered(unit, &store, kernel))
                     .collect();
-                merge_buffers(&mut store, &buffer_writes, true, &mut races);
+                merge_buffers(&mut store, &buffer_writes, &mut races);
             }
             phase_times.push(start.elapsed());
         }
@@ -296,8 +305,11 @@ impl ParallelExecutor {
     /// otherwise drown in thread churn).
     ///
     /// Workers park on a barrier between phases; the coordinator publishes
-    /// each phase's units and batches, releases the workers, and merges
-    /// their buffered writes at the phase barrier.
+    /// each phase's units and batches and releases the workers.  With race
+    /// detection it merges their buffered writes at the phase barrier;
+    /// without, workers hold the store's read lock and write through it
+    /// directly, into a store sized to the schedule's footprint up front
+    /// (the footprint pass counts towards the execution time).
     // Panic-hygiene allow: the lock `expect`s fire only when a sibling
     // thread already panicked while holding the lock; every panic here is
     // caught by the surrounding catch_unwind frames, recorded with worker
@@ -309,7 +321,13 @@ impl ParallelExecutor {
         schedule: &Schedule,
         kernel: &(dyn Kernel + Sync),
     ) -> ExecutionResult {
-        let store = RwLock::new(ArrayStore::new());
+        let footprint_start = Instant::now();
+        let store = RwLock::new(if self.detect_races {
+            ArrayStore::new()
+        } else {
+            footprint_store(schedule, kernel)
+        });
+        let footprint_time = footprint_start.elapsed();
         let mut phase_times = Vec::with_capacity(schedule.phases.len());
         let mut races = Vec::new();
         let mut total_time = Duration::ZERO;
@@ -374,7 +392,7 @@ impl ParallelExecutor {
                                     );
                                     let task_guard = task.read().expect("task lock poisoned");
                                     let task = task_guard.as_ref().expect("phase task published");
-                                    let frozen = store.read().expect("store lock poisoned");
+                                    let shared = store.read().expect("store lock poisoned");
                                     let mut produced = Vec::new();
                                     // Dynamic self-scheduling: claim the next
                                     // unclaimed batch from the shared cursor until
@@ -389,25 +407,23 @@ impl ParallelExecutor {
                                             // conflicts between units stay
                                             // observable.
                                             for unit_id in range.clone() {
-                                                let writes = run_buffer(
-                                                    &task.units,
-                                                    unit_id..unit_id + 1,
-                                                    &frozen,
+                                                let writes = run_buffered(
+                                                    task.units[unit_id],
+                                                    &shared,
                                                     kernel,
                                                 );
                                                 produced.push((unit_id, writes));
                                             }
                                         } else {
-                                            let writes = run_buffer(
-                                                &task.units,
-                                                range.clone(),
-                                                &frozen,
-                                                kernel,
-                                            );
-                                            produced.push((b, writes));
+                                            let mut view = SharedView(&shared);
+                                            for unit in &task.units[range.clone()] {
+                                                for item in *unit {
+                                                    run_item(item, kernel, &mut view);
+                                                }
+                                            }
                                         }
                                     }
-                                    drop(frozen);
+                                    drop(shared);
                                     drop(task_guard);
                                     if !produced.is_empty() {
                                         results
@@ -444,17 +460,13 @@ impl ParallelExecutor {
                     if units.len() == 1 {
                         let mut store = store.write().expect("store lock poisoned");
                         for item in units[0] {
-                            run_item(item, kernel, &mut store);
+                            run_item(item, kernel, &mut *store);
                         }
                         phase_times.push(start.elapsed());
                         continue;
                     }
                     let batches = self.batch_units(&units);
-                    let n_buffers = if self.detect_races {
-                        units.len()
-                    } else {
-                        batches.len()
-                    };
+                    let n_units = units.len();
                     *task.write().expect("task lock poisoned") = Some(PhaseTask {
                         units,
                         batches,
@@ -466,21 +478,15 @@ impl ParallelExecutor {
                     if panic_payload.lock().expect("panic slot poisoned").is_some() {
                         break;
                     }
-                    let mut per_buffer: Vec<WriteBuffer> = vec![Vec::new(); n_buffers];
-                    for (buffer_id, writes) in
-                        results.lock().expect("results lock poisoned").drain(..)
-                    {
-                        per_buffer[buffer_id] = writes;
-                    }
-                    let mut store = store.write().expect("store lock poisoned");
                     if self.detect_races {
-                        merge_buffers(&mut store, &per_buffer, true, &mut races);
-                    } else {
-                        merge_buffers_per_array(
-                            &mut store,
-                            &per_buffer,
-                            self.n_threads.min(rcp_pool::available_threads()),
-                        );
+                        let mut per_unit: Vec<WriteBuffer> = vec![Vec::new(); n_units];
+                        for (unit_id, writes) in
+                            results.lock().expect("results lock poisoned").drain(..)
+                        {
+                            per_unit[unit_id] = writes;
+                        }
+                        let mut store = store.write().expect("store lock poisoned");
+                        merge_buffers(&mut store, &per_unit, &mut races);
                     }
                     phase_times.push(start.elapsed());
                 }
@@ -488,7 +494,7 @@ impl ParallelExecutor {
             if let Err(payload) = coordinator {
                 record_panic(payload, "executor coordinator".to_string());
             }
-            total_time = start_all.elapsed();
+            total_time = footprint_time + start_all.elapsed();
             // Release the workers to exit; every worker is parked at
             // phase_start (their bodies cannot unwind), so this cannot
             // hang.
@@ -552,33 +558,21 @@ fn phase_units(phase: &Phase) -> Vec<Unit<'_>> {
     }
 }
 
-/// Runs a contiguous range of units against the frozen store through one
-/// buffered view and returns its writes.
-fn run_buffer(
-    units: &[Unit],
-    range: std::ops::Range<usize>,
-    frozen: &ArrayStore,
-    kernel: &(dyn Kernel + Sync),
-) -> WriteBuffer {
+/// Runs one unit against the frozen store through a buffered view and
+/// returns its writes.
+fn run_buffered(unit: Unit, frozen: &ArrayStore, kernel: &(dyn Kernel + Sync)) -> WriteBuffer {
     let mut view = BufferedView::new(frozen);
-    for unit in &units[range] {
-        for item in *unit {
-            for (stmt, indices) in &item.instances {
-                kernel.execute(*stmt, indices, &mut view);
-            }
-        }
+    for item in unit {
+        run_item(item, kernel, &mut view);
     }
     view.into_writes()
 }
 
-/// Merges buffered writes into the store at a phase barrier.  With
-/// `detect_races` there is one buffer per unit and write-write conflicts
-/// between different units are recorded; otherwise the merge is a plain
-/// replay.
+/// Merges per-unit buffered writes into the store at a phase barrier,
+/// recording every element written by two different units as a race.
 fn merge_buffers(
     store: &mut ArrayStore,
     buffer_writes: &[WriteBuffer],
-    detect_races: bool,
     races: &mut Vec<(String, IVec)>,
 ) {
     rcp_guard::fail_point("runtime::merge", rcp_guard::Stage::Execution);
@@ -591,121 +585,41 @@ fn merge_buffers(
             .map(|(_, elements)| elements.len() as u64)
             .sum(),
     );
-    if detect_races {
-        let mut writer: HashMap<(String, IVec), usize> = HashMap::new();
-        for (unit_id, writes) in buffer_writes.iter().enumerate() {
-            for (array, elements) in writes {
-                for (index, value) in elements {
-                    match writer.entry((array.clone(), index.clone())) {
-                        std::collections::hash_map::Entry::Occupied(mut entry) => {
-                            if *entry.get() != unit_id {
-                                races.push((array.clone(), index.clone()));
-                            }
-                            entry.insert(unit_id);
-                        }
-                        std::collections::hash_map::Entry::Vacant(entry) => {
-                            entry.insert(unit_id);
-                        }
-                    }
-                    store.set(array, index, *value);
-                }
-            }
-        }
-    } else {
-        for writes in buffer_writes {
-            for (array, elements) in writes {
-                for (index, value) in elements {
-                    store.set(array, index, *value);
-                }
-            }
-        }
-    }
-}
-
-/// Replays buffered writes into the store with the merge sharded
-/// **per-array** over up to `n_threads` threads: every array's writes are
-/// applied by exactly one thread, in buffer order, so the result is
-/// identical to the sequential replay (concurrent units of a valid schedule
-/// write disjoint elements; for overlapping writes the per-array buffer
-/// order still matches the sequential merge).  Small merges — fewer than
-/// [`ParallelExecutor::PAR_MERGE_MIN_WRITES`] writes, or a single array —
-/// replay inline: sharding them would cost more in thread spawns than the
-/// replay itself.
-// Panic-hygiene allow: the grouped-map `unwrap` walks keys just collected
-// from that map, and the job-lock `expect`s are uncontended single-owner
-// locks whose poisoning implies a merge panic already in flight (caught by
-// the executor's unwind frames).
-#[allow(clippy::unwrap_used, clippy::expect_used)]
-fn merge_buffers_per_array(
-    store: &mut ArrayStore,
-    buffer_writes: &[WriteBuffer],
-    n_threads: usize,
-) {
-    rcp_guard::fail_point("runtime::merge", rcp_guard::Stage::Execution);
-    let inline_replay = |store: &mut ArrayStore| {
-        for writes in buffer_writes {
-            for (array, elements) in writes {
-                for (index, value) in elements {
-                    store.set(array, index, *value);
-                }
-            }
-        }
-    };
-    let total_writes: usize = buffer_writes
-        .iter()
-        .flat_map(|w| w.iter())
-        .map(|(_, elements)| elements.len())
-        .sum();
-    let m = metrics();
-    m.merge_writes.add(total_writes as u64);
-    // Decide inline vs sharded before building any grouping, so the common
-    // small-merge case allocates nothing extra.
-    if n_threads <= 1 || total_writes < ParallelExecutor::PAR_MERGE_MIN_WRITES {
-        m.merge_replay.inc();
-        inline_replay(store);
-        return;
-    }
-    // Group each array's write runs in buffer order.
-    let mut grouped: HashMap<&str, Vec<&[(IVec, f64)]>> = HashMap::new();
-    for writes in buffer_writes {
+    let mut writer: HashMap<(&str, &[i64]), usize> = HashMap::new();
+    for (unit_id, writes) in buffer_writes.iter().enumerate() {
         for (array, elements) in writes {
-            grouped
-                .entry(array.as_str())
-                .or_default()
-                .push(elements.as_slice());
-        }
-    }
-    if grouped.len() <= 1 {
-        m.merge_replay.inc();
-        inline_replay(store);
-        return;
-    }
-    m.merge_sharded.inc();
-    let mut names: Vec<&str> = grouped.keys().copied().collect();
-    names.sort_unstable();
-    // Take each array out of the store, fill them concurrently (the Mutex
-    // is uncontended — one job per array), then put them back.
-    type MergeJob<'w> = Mutex<(Array, Vec<&'w [(IVec, f64)]>)>;
-    let jobs: Vec<MergeJob> = names
-        .iter()
-        .map(|name| Mutex::new((store.take_array(name), grouped.remove(name).unwrap())))
-        .collect();
-    rcp_pool::par_map(n_threads, &jobs, |job| {
-        let mut guard = job.lock().expect("merge job poisoned");
-        let (array, runs) = &mut *guard;
-        for run in runs.iter() {
-            for (index, value) in *run {
-                array.set(index, *value);
+            for (index, value) in elements {
+                if let Some(previous) = writer.insert((array, index), unit_id) {
+                    if previous != unit_id {
+                        races.push((array.clone(), index.clone()));
+                    }
+                }
+                store.set(array, index, *value);
             }
         }
-    });
-    for (name, job) in names.into_iter().zip(jobs) {
-        let (array, _) = job.into_inner().expect("merge job poisoned");
-        store.insert_array(name, array);
     }
 }
 
-fn run_item(item: &WorkItem, kernel: &dyn Kernel, store: &mut ArrayStore) {
+/// The trusted path's view: reads and writes go straight to the shared,
+/// footprint-sized store.
+struct SharedView<'s>(&'s ArrayStore);
+
+impl StoreView for SharedView<'_> {
+    fn read(&self, array: &str, index: &[i64]) -> f64 {
+        self.0.get(array, index)
+    }
+    // Panic-hygiene allow: a write outside the store breaks the
+    // `Kernel::footprint` contract; the panic reaches the caller with
+    // worker context like any kernel panic.
+    #[allow(clippy::panic)]
+    fn write(&mut self, array: &str, index: &[i64], value: f64) {
+        if !self.0.set_shared(array, index, value) {
+            panic!("kernel wrote {array}{index:?} outside the footprint it reported");
+        }
+    }
+}
+
+fn run_item(item: &WorkItem, kernel: &dyn Kernel, store: &mut dyn StoreView) {
     for (stmt, indices) in &item.instances {
         kernel.execute(*stmt, indices, store);
     }
@@ -912,6 +826,105 @@ mod tests {
         }
     }
 
+    /// Runs `run` and returns the `CapturedPanic` it must raise.
+    fn captured_panic(run: impl FnOnce()) -> rcp_guard::CapturedPanic {
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
+            Err(payload) => *payload
+                .downcast::<rcp_guard::CapturedPanic>()
+                .expect("executor panics carry a CapturedPanic payload"),
+            Ok(()) => panic!("the kernel panic must propagate"),
+        }
+    }
+
+    /// Two chains of ten instances each, so the trusted pool path runs
+    /// them on workers.
+    fn two_chains() -> Schedule {
+        let chain = |range: std::ops::Range<i64>| -> Vec<WorkItem> {
+            range.map(|i| WorkItem::single(0, vec![i])).collect()
+        };
+        Schedule {
+            name: "two-chains".to_string(),
+            phases: vec![Phase::ChainSet(vec![chain(0..10), chain(10..20)])],
+        }
+    }
+
+    fn trusted_pool() -> ParallelExecutor {
+        ParallelExecutor::new(2)
+            .with_race_detection(false)
+            .with_sequential_fallback(false)
+            .with_min_batch_instances(1)
+    }
+
+    #[test]
+    fn footprint_pass_panics_carry_executor_context() {
+        use crate::kernel::FnKernel;
+        let kernel = FnKernel(
+            |_s: usize, idx: &[i64], store: &mut dyn crate::array::StoreView| {
+                if idx[0] == 7 {
+                    panic!("kernel boom");
+                }
+                store.write("a", idx, 1.0);
+            },
+        );
+        let schedule = two_chains();
+        let runs: [Box<dyn FnOnce()>; 3] = [
+            Box::new(|| drop(execute_sequential(&schedule, &kernel))),
+            Box::new(|| drop(ParallelExecutor::new(1).execute(&schedule, &kernel))),
+            Box::new(|| drop(trusted_pool().execute(&schedule, &kernel))),
+        ];
+        for run in runs {
+            let captured = captured_panic(run);
+            assert_eq!(captured.message, "kernel boom");
+            assert_eq!(captured.context, ["executor footprint pass"]);
+        }
+    }
+
+    #[test]
+    fn direct_write_panics_carry_worker_context() {
+        use crate::kernel::FnKernel;
+        // Panics only once a[6] holds the value this kernel writes, which
+        // the footprint pass (reading initial values) never sees.
+        let kernel = FnKernel(
+            |_s: usize, idx: &[i64], store: &mut dyn crate::array::StoreView| {
+                if store.read("a", &[idx[0] - 1]) == 1.0 && idx[0] == 7 {
+                    panic!("kernel boom");
+                }
+                store.write("a", idx, 1.0);
+            },
+        );
+        let captured = captured_panic(|| drop(trusted_pool().execute(&two_chains(), &kernel)));
+        assert_eq!(captured.message, "kernel boom");
+        assert!(
+            captured.context[0].starts_with("executor worker "),
+            "{:?}",
+            captured.context
+        );
+    }
+
+    #[test]
+    fn writes_outside_the_reported_footprint_are_refused() {
+        use crate::kernel::FnKernel;
+        // Instance 0 sets a[0] = 5; later instances write b[a[0]], which the
+        // footprint pass saw as b[1] (the initial value of a[0]).
+        let kernel = FnKernel(
+            |_s: usize, idx: &[i64], store: &mut dyn crate::array::StoreView| {
+                if idx[0] == 0 {
+                    store.write("a", &[0], 5.0);
+                } else {
+                    let at = store.read("a", &[0]) as i64;
+                    store.write("b", &[at], 1.0);
+                }
+            },
+        );
+        let captured = captured_panic(|| drop(trusted_pool().execute(&two_chains(), &kernel)));
+        assert!(
+            captured.message.contains("outside the footprint"),
+            "{}",
+            captured.message
+        );
+        assert!(captured.context[0].starts_with("executor worker "));
+    }
+
     #[test]
     fn small_schedules_fall_back_to_inline_execution() {
         let p = figure2();
@@ -931,37 +944,6 @@ mod tests {
         assert!(ParallelExecutor::new(4)
             .with_sequential_fallback(false)
             .uses_pool(&seq));
-    }
-
-    #[test]
-    fn per_array_parallel_merge_matches_sequential_replay() {
-        // Enough writes across several arrays to cross the parallel-merge
-        // threshold, including cross-buffer overwrites of the same element
-        // (buffer order must win, as in the sequential replay).
-        let arrays = ["a", "b", "c", "d", "e"];
-        let buffers: Vec<WriteBuffer> = (0..8)
-            .map(|b| {
-                arrays
-                    .iter()
-                    .map(|name| {
-                        let elements: Vec<(IVec, f64)> = (0..1024)
-                            .map(|i| (vec![i as i64 % 700], (b * 10_000 + i) as f64))
-                            .collect();
-                        (name.to_string(), elements)
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut reference = ArrayStore::new();
-        merge_buffers(&mut reference, &buffers, false, &mut Vec::new());
-        for threads in [1, 2, 4] {
-            let mut sharded = ArrayStore::new();
-            merge_buffers_per_array(&mut sharded, &buffers, threads);
-            assert!(
-                reference.diff(&sharded, 0.0).is_empty(),
-                "per-array merge with {threads} threads must equal the replay"
-            );
-        }
     }
 
     #[test]

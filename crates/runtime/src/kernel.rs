@@ -12,15 +12,26 @@
 //! any re-ordering of dependent statement instances changes the final array
 //! contents — which is exactly what the schedule-verification tests rely on.
 
-use crate::array::StoreView;
+use crate::array::{Footprint, StoreView};
 use rcp_loopir::Program;
-use std::collections::BTreeMap;
 
 /// The computation of a program's statements.
 pub trait Kernel: Sync {
     /// Executes statement `stmt_id` at the given loop index values against
     /// the store view.
     fn execute(&self, stmt_id: usize, indices: &[i64], store: &mut dyn StoreView);
+
+    /// Widens `footprint` to cover every element that statement `stmt_id`
+    /// writes at the given loop index values.  The executor sizes its
+    /// store from the footprint of the whole schedule before running it,
+    /// so the elements a statement writes must depend on the statement and
+    /// its indices only, never on values read.
+    ///
+    /// The default runs [`Self::execute`] against the footprint itself,
+    /// which records writes and answers reads with initial values.
+    fn footprint(&self, stmt_id: usize, indices: &[i64], footprint: &mut Footprint) {
+        self.execute(stmt_id, indices, footprint);
+    }
 }
 
 /// A kernel defined by a plain function or closure.
@@ -41,50 +52,125 @@ where
 /// non-commutative, order-sensitive function of the loop indices, and the
 /// result is stored to every write reference.  Statements without writes
 /// are no-ops (they still perform their reads).
+///
+/// The access maps are compiled once into flat coefficient rows in a table
+/// indexed by statement id, and subscripts are evaluated into a stack
+/// buffer, so executing an instance allocates nothing.
 pub struct RefKernel {
-    /// For each statement id: (writes, reads) as `(array, access)` pairs
-    /// where `access` maps loop indices to an element index.
-    stmts: BTreeMap<usize, StatementAccesses>,
+    /// Indexed by statement id (`None` for ids no statement carries).
+    stmts: Vec<Option<StatementAccesses>>,
 }
 
 struct StatementAccesses {
-    writes: Vec<(String, rcp_loopir::AccessMap)>,
-    reads: Vec<(String, rcp_loopir::AccessMap)>,
+    /// The number of surrounding loops: the length of an index vector.
+    depth: usize,
+    writes: Vec<Access>,
+    reads: Vec<Access>,
+}
+
+/// One affine reference `subscript[d] = Σ_r indices[r]·coeffs[d·depth + r]
+/// + offset[d]`.
+struct Access {
+    array: String,
+    coeffs: Vec<i64>,
+    offset: Vec<i64>,
+}
+
+/// Subscripts of up to this rank are evaluated on the stack.
+const STACK_RANK: usize = 8;
+
+impl Access {
+    fn new(access: &rcp_loopir::AccessMap) -> Self {
+        let (depth, rank) = (access.matrix.rows(), access.matrix.cols());
+        let coeffs = (0..rank)
+            .flat_map(|d| (0..depth).map(move |r| access.matrix[(r, d)]))
+            .collect();
+        Access {
+            array: access.array.clone(),
+            coeffs,
+            offset: access.offset.clone(),
+        }
+    }
+
+    /// Calls `f` with the subscript this reference accesses at `indices`.
+    #[inline]
+    fn with_subscript<R>(&self, indices: &[i64], f: impl FnOnce(&[i64]) -> R) -> R {
+        let rank = self.offset.len();
+        let eval = |subscript: &mut [i64]| {
+            for (d, x) in subscript.iter_mut().enumerate() {
+                let row = &self.coeffs[d * indices.len()..(d + 1) * indices.len()];
+                let sum: i64 = indices.iter().zip(row).map(|(i, c)| i * c).sum();
+                *x = sum + self.offset[d];
+            }
+        };
+        if rank <= STACK_RANK {
+            let mut buffer = [0i64; STACK_RANK];
+            eval(&mut buffer[..rank]);
+            f(&buffer[..rank])
+        } else {
+            let mut buffer = vec![0i64; rank];
+            eval(&mut buffer);
+            f(&buffer)
+        }
+    }
 }
 
 impl RefKernel {
     /// Builds the canonical kernel of a program.
     pub fn new(program: &Program) -> Self {
-        let mut stmts = BTreeMap::new();
+        let mut stmts: Vec<Option<StatementAccesses>> = Vec::new();
         for info in program.statements() {
             let mut writes = Vec::new();
             let mut reads = Vec::new();
             for r in &info.stmt.refs {
-                let access = program.loop_access(&info, r);
+                let access = Access::new(&program.loop_access(&info, r));
                 if r.is_write() {
-                    writes.push((r.array.clone(), access));
+                    writes.push(access);
                 } else {
-                    reads.push((r.array.clone(), access));
+                    reads.push(access);
                 }
             }
-            stmts.insert(info.id, StatementAccesses { writes, reads });
+            if stmts.len() <= info.id {
+                stmts.resize_with(info.id + 1, || None);
+            }
+            stmts[info.id] = Some(StatementAccesses {
+                depth: info.loop_indices.len(),
+                writes,
+                reads,
+            });
         }
         RefKernel { stmts }
+    }
+
+    /// The compiled accesses of a statement, checked against the index
+    /// vector it runs at.
+    // Panic-hygiene allow: schedules executed against a `RefKernel` are
+    // built from the same program, so every statement id is present and
+    // every index vector has its statement's depth.
+    #[allow(clippy::expect_used)]
+    fn statement(&self, stmt_id: usize, indices: &[i64]) -> &StatementAccesses {
+        let stmt = self
+            .stmts
+            .get(stmt_id)
+            .and_then(Option::as_ref)
+            .expect("unknown statement id");
+        assert_eq!(
+            indices.len(),
+            stmt.depth,
+            "vector/matrix dimension mismatch"
+        );
+        stmt
     }
 }
 
 impl Kernel for RefKernel {
-    // Panic-hygiene allow: schedules executed against a `RefKernel` are
-    // built from the same program, so every statement id is present.
-    #[allow(clippy::expect_used)]
     fn execute(&self, stmt_id: usize, indices: &[i64], store: &mut dyn StoreView) {
-        let accesses = self.stmts.get(&stmt_id).expect("unknown statement id");
+        let accesses = self.statement(stmt_id, indices);
         // Combine the read values with an order-sensitive function so that
         // any violation of a flow/anti dependence changes the result.
         let mut acc = 0.5;
-        for (k, (array, access)) in accesses.reads.iter().enumerate() {
-            let idx = access.apply(indices);
-            let v = store.read(array, &idx);
+        for (k, read) in accesses.reads.iter().enumerate() {
+            let v = read.with_subscript(indices, |idx| store.read(&read.array, idx));
             acc = acc * 0.75 + v * (1.0 + 0.1 * (k as f64 + 1.0));
         }
         let index_term: f64 = indices
@@ -93,9 +179,14 @@ impl Kernel for RefKernel {
             .map(|(k, &x)| (x as f64) * 0.001 * (k as f64 + 1.0))
             .sum();
         let value = acc + index_term + 0.25;
-        for (array, access) in &accesses.writes {
-            let idx = access.apply(indices);
-            store.write(array, &idx, value);
+        for write in &accesses.writes {
+            write.with_subscript(indices, |idx| store.write(&write.array, idx, value));
+        }
+    }
+
+    fn footprint(&self, stmt_id: usize, indices: &[i64], footprint: &mut Footprint) {
+        for write in &self.statement(stmt_id, indices).writes {
+            write.with_subscript(indices, |idx| footprint.include(&write.array, idx));
         }
     }
 }

@@ -3,15 +3,17 @@
 //! This crate stands in for the paper's Fortran + OpenMP + 4-CPU Itanium
 //! testbed:
 //!
-//! * [`mod@array`] — the array store generated loops compute on (sparse,
-//!   supports negative subscripts, deterministic initial values),
+//! * [`mod@array`] — the array store generated loops compute on (dense
+//!   row-major slabs over per-array boxes, negative subscripts allowed,
+//!   deterministic initial values, shared writes through atomics),
 //! * [`kernel`] — statement kernels; [`RefKernel`] derives an
 //!   order-sensitive computation directly from a program's array
-//!   references so that schedule correctness is observable,
+//!   references so that schedule correctness is observable, and reports
+//!   the write footprint the executor sizes its store from,
 //! * [`executor`] — the sequential reference executor, the multi-threaded
-//!   [`ParallelExecutor`] with per-phase barriers, per-chain work batching
-//!   and write-conflict detection, and schedule verification (parallel
-//!   result == sequential result),
+//!   [`ParallelExecutor`] with per-phase barriers, per-chain work batching,
+//!   a race-detecting buffered path and a trusted direct-write path, and
+//!   schedule verification (parallel result == sequential result),
 //! * [`cost`] — the calibrated analytic cost model that turns schedules
 //!   into the speedup curves of Figure 3 even on machines with too few
 //!   cores to show real scaling (measured wall-clock speedups come from
@@ -19,9 +21,9 @@
 //!   executor's sequential fallback for schedules too small to amortise
 //!   pool overhead,
 //! * [`pool`] — the generalised `scope`/`par_map` thread-pool facility
-//!   (re-exported [`rcp_pool`]) that non-schedule work — sharded dependence
-//!   analysis, per-array barrier merges, concurrent benchmark experiments —
-//!   shares with the executor.
+//!   (re-exported [`rcp_pool`]) for non-schedule work: sharded dependence
+//!   analysis, sharded trace construction, concurrent benchmark
+//!   experiments.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,7 +35,7 @@ pub mod cost;
 pub mod executor;
 pub mod kernel;
 
-pub use array::{Array, ArrayStore, BufferedView, StoreView};
+pub use array::{Array, ArrayStore, BufferedView, Footprint, StoreView};
 pub use cost::{makespan, CostModel};
 pub use executor::{
     execute_schedule, execute_sequential, verify_schedule, ExecutionResult, ParallelExecutor,

@@ -18,9 +18,12 @@
 //!   phase barrier merges nothing.  A cost-model-driven sequential fallback
 //!   (see [`ParallelExecutor::with_sequential_fallback`]) runs schedules
 //!   too small to amortise pool overhead inline instead.
-//! * Every path except the race-detecting pool starts from a store sized
-//!   to the schedule's write footprint ([`Kernel::footprint`]), so no array
-//!   is re-laid while the schedule runs.
+//! * Every path but the race-detecting pool starts from a store sized to
+//!   the schedule's write footprint ([`Kernel::footprint`]).  The trusted
+//!   pool's workers need it, since they share the store; on the sequential
+//!   and inline paths it is cheaper than growing arrays while the schedule
+//!   runs.  The race-detecting pool merges into a growing store, so that a
+//!   kernel panic still surfaces from the worker that raised it.
 //! * [`verify_schedule`] compares the parallel result against the
 //!   sequential result element-wise.
 //!
@@ -323,6 +326,8 @@ impl ParallelExecutor {
     ) -> ExecutionResult {
         let footprint_start = Instant::now();
         let store = RwLock::new(if self.detect_races {
+            // A footprint pass here would raise a kernel panic before any
+            // worker runs, losing the worker context a panic carries.
             ArrayStore::new()
         } else {
             footprint_store(schedule, kernel)
@@ -923,6 +928,13 @@ mod tests {
             captured.message
         );
         assert!(captured.context[0].starts_with("executor worker "));
+        // Writing through `&mut`, the other paths grow the store instead.
+        let grown = execute_sequential(&two_chains(), &kernel);
+        assert_eq!(grown.get("b", &[5]), 1.0);
+        let result = trusted_pool()
+            .with_race_detection(true)
+            .execute(&two_chains(), &kernel);
+        assert_eq!(result.store.get("b", &[5]), 1.0);
     }
 
     #[test]

@@ -22,13 +22,22 @@ pub trait Kernel: Sync {
     fn execute(&self, stmt_id: usize, indices: &[i64], store: &mut dyn StoreView);
 
     /// Widens `footprint` to cover every element that statement `stmt_id`
-    /// writes at the given loop index values.  The executor sizes its
-    /// store from the footprint of the whole schedule before running it,
-    /// so the elements a statement writes must depend on the statement and
-    /// its indices only, never on values read.
+    /// writes at the given loop index values.
+    ///
+    /// Every executor path but the race-detecting pool sizes its store
+    /// from the footprint of the whole schedule before running it.  On the
+    /// trusted pool path
+    /// ([`crate::ParallelExecutor`] with race detection off) the workers
+    /// share that store, so there the elements a statement writes must
+    /// depend on the statement and its indices only, never on values read:
+    /// a write outside the reported footprint panics.  The paths writing
+    /// through `&mut` grow the store for such a write instead.
     ///
     /// The default runs [`Self::execute`] against the footprint itself,
-    /// which records writes and answers reads with initial values.
+    /// which records writes and answers reads with initial values, so on
+    /// those paths a kernel without an override runs every instance twice,
+    /// side effects included.  [`RefKernel`] overrides it to
+    /// evaluate its write subscripts only.
     fn footprint(&self, stmt_id: usize, indices: &[i64], footprint: &mut Footprint) {
         self.execute(stmt_id, indices, footprint);
     }

@@ -4,7 +4,8 @@
 //! testbed:
 //!
 //! * [`mod@array`] — the array store generated loops compute on (dense
-//!   row-major slabs over per-array boxes, negative subscripts allowed,
+//!   row-major slabs over per-array boxes, or a map of written elements
+//!   when a box is too sparse for a slab; negative subscripts allowed,
 //!   deterministic initial values, shared writes through atomics),
 //! * [`kernel`] — statement kernels; [`RefKernel`] derives an
 //!   order-sensitive computation directly from a program's array

@@ -964,6 +964,29 @@ mod tests {
     }
 
     #[test]
+    fn run_verifies_writes_too_far_apart_for_a_dense_array() {
+        // A hundred elements over a box of about 1e12 slots: the store keeps
+        // them in a map instead of asking for the box.
+        let _guard = metrics_test_lock();
+        let (server, client) = server();
+        let source = "PROGRAM far_apart\nPARAM N\nDO I = 1, N\n  DO J = 1, N\n    \
+                      S: a(100000 * I, 100000 * J) = a(100000 * I - 100000, 100000 * J)\n  \
+                      ENDDO\nENDDO\nEND\n";
+        let run = client
+            .post(
+                "/v1/run",
+                &json!({ "source": source, "params": json!({"N": 10}), "threads": 2 }),
+            )
+            .unwrap();
+        assert_eq!(run.status, 200, "{}", run.body);
+        let body = run.json().unwrap();
+        assert_eq!(body.get("n_instances").unwrap().as_i64(), Some(100));
+        assert_eq!(body.get("passed").unwrap().as_bool(), Some(true));
+        server.shutdown();
+        server.join();
+    }
+
+    #[test]
     fn error_statuses_are_typed() {
         let _guard = metrics_test_lock();
         let (server, client) = server();

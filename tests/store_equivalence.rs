@@ -2,8 +2,9 @@
 //! execution route leaves bit-identical stores.
 //!
 //! * A seeded stream of writes and reads — negative subscripts, boxes
-//!   growing in every direction, ranks 1 to 3 and one name used at two
-//!   ranks — is applied both to `ArrayStore` and to a
+//!   growing in every direction, writes far enough out to make an array
+//!   sparse, ranks 1 to 3 and one name used at two ranks — is applied both
+//!   to `ArrayStore` and to a
 //!   `HashMap<(String, IVec), f64>` model.  `get`, `written_len`, `diff`
 //!   (mismatches and their order) and `==` must agree with the model.
 //! * Every bundled `examples/loops/*.loop` file at small bindings and
@@ -11,6 +12,8 @@
 //!   race-detecting executor (default and pool forced) and the trusted
 //!   pool path (race detection off, pool forced, 2 and 4 threads, batches
 //!   of 1 and of the default size); the stores must agree bit for bit.
+//! * A nest whose writes lie 100000 apart, whose bounding box no memory
+//!   could hold densely, runs on every route too.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -48,9 +51,13 @@ fn random_writes(rng: &mut SmallRng, n: usize, store: &mut ArrayStore, model: &m
     for _ in 0..n {
         let (name, rank) = ARRAYS[rng.gen_range(0..=3) as usize];
         // The reach widens as writes go on, so boxes keep growing in both
-        // directions of every dimension.
+        // directions of every dimension; one write in sixteen lands far
+        // out, which turns its array into a map of its elements.
         let reach = 2 + rng.gen_range(0..=12);
-        let index = random_index(rng, rank, reach);
+        let mut index = random_index(rng, rank, reach);
+        if rng.gen_range(0..=15) == 0 {
+            index[0] *= 1_000_000;
+        }
         let value = rng.gen_range(0..=3) as f64 * 0.5;
         store.set(name, &index, value);
         model.insert((name.to_string(), index), value);
@@ -99,11 +106,17 @@ fn assert_reads_agree(rng: &mut SmallRng, store: &ArrayStore, model: &Model) {
 fn dense_store_agrees_with_the_sparse_model() {
     let mut rng = SmallRng::seed_from_u64(0x5107E);
     let mut equal_pairs = 0;
+    let mut sparse_arrays = 0;
     for round in 0..200 {
         let mut left = ArrayStore::new();
         let mut left_model = Model::new();
         random_writes(&mut rng, 40, &mut left, &mut left_model);
         assert_reads_agree(&mut rng, &left, &left_model);
+        sparse_arrays += ARRAYS
+            .iter()
+            .filter_map(|&(name, rank)| left.array(name, rank))
+            .filter(|array| !array.is_dense())
+            .count();
 
         // The right store replays the left's elements in reverse order into
         // a footprint-sized or a growing store, then maybe diverges.
@@ -146,6 +159,10 @@ fn dense_store_agrees_with_the_sparse_model() {
     assert!(
         equal_pairs > 0 && equal_pairs < 200,
         "{equal_pairs} equal pairs"
+    );
+    assert!(
+        sparse_arrays > 0 && sparse_arrays < 200 * ARRAYS.len(),
+        "{sparse_arrays} sparse arrays"
     );
 }
 
@@ -277,4 +294,36 @@ fn generated_nests_leave_identical_stores_on_every_route() {
         written += assert_routes_agree(&label, &case.program, &case.params);
     }
     assert!(written > 0);
+}
+
+/// Writes `a(100000*I, 100000*J)`: a hundred elements over a box of about
+/// 1e12 slots, and one rank-1 array strided the same way.
+const FAR_APART: &str = "PROGRAM far_apart
+PARAM N
+DO I = 1, N
+  DO J = 1, N
+    S: a(100000 * I, 100000 * J) = a(100000 * I - 100000, 100000 * J), b(100000 * J)
+  ENDDO
+  T: b(100000 * I) = a(100000 * I, 100000 * N)
+ENDDO
+END
+";
+
+#[test]
+fn far_apart_writes_leave_identical_stores_on_every_route() {
+    let program = parse_program(FAR_APART).unwrap();
+    let params = vec![("N".to_string(), 10)];
+    assert_eq!(assert_routes_agree("far_apart", &program, &params), 110);
+    let scheduled = Session::with_config(Config {
+        params,
+        ..Config::default()
+    })
+    .load(program)
+    .and_then(|analyzed| analyzed.partition())
+    .and_then(|stage| stage.schedule())
+    .unwrap();
+    let store = execute_sequential(scheduled.sequential(), &scheduled.kernel());
+    assert!(!store.array("a", 2).unwrap().is_dense());
+    let verdict = scheduled.verify_checked().unwrap();
+    assert!(verdict.passed());
 }
